@@ -11,6 +11,8 @@
 //	                                # throughput scenarios -> versioned JSON
 //	hswbench -bench-compare BENCH_2.json BENCH_3.json
 //	                                # diff deterministic sim-side anchors
+//	hswbench -exp matrix -cpuprofile cpu.out -memprofile mem.out
+//	                                # profile any mode (go tool pprof)
 //
 // Experiment ids follow DESIGN.md: table1, table2, table3, table4, table5,
 // table6, table7, table8, l3scaling, fig4, fig5, fig6, fig7, fig8, fig9,
@@ -36,6 +38,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"haswellep/internal/experiments"
@@ -55,7 +59,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("hswbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "", "experiment id to run (or 'all')")
@@ -65,8 +69,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	doBench := fs.Bool("bench", false, "run the throughput scenarios and emit versioned benchmark JSON")
 	benchOut := fs.String("bench-out", "", "file for -bench JSON (default: print to stdout)")
 	benchCompare := fs.Bool("bench-compare", false, "compare the sim-side anchors of two bench reports: OLD.json NEW.json")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "hswbench: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "hswbench: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(stderr, "hswbench: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	if *benchCompare {
@@ -107,6 +135,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// writeHeapProfile writes the heap profile of the live data after a GC.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runExperiment executes one experiment and prints its artifacts.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -58,5 +60,29 @@ func TestFigureCSVOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "wrote ") {
 		t.Errorf("no CSV written:\n%s", out.String())
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof
+// files for an ordinary run, and an unwritable profile path fails the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "table1", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (err %v)", p, err)
+		}
+	}
+	bad := filepath.Join(dir, "missing", "cpu.out")
+	if code := run([]string{"-exp", "table1", "-cpuprofile", bad}, &out, &errb); code != 1 {
+		t.Errorf("unwritable -cpuprofile: exit %d, want 1", code)
+	}
+	bad = filepath.Join(dir, "missing", "mem.out")
+	if code := run([]string{"-exp", "table1", "-memprofile", bad}, &out, &errb); code != 1 {
+		t.Errorf("unwritable -memprofile: exit %d, want 1", code)
 	}
 }

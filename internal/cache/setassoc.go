@@ -283,3 +283,44 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 
 // ResetStats zeroes the statistics counters.
 func (c *Cache) ResetStats() { c.hits, c.misses, c.evictions = 0, 0, 0 }
+
+// Snapshot is the sparse resident state of one cache: every valid way,
+// set-major and MRU-first within a set (a line's set follows from its
+// address, its LRU position from its place in the run), plus the
+// statistics counters. It holds nothing for empty sets, so an empty cache
+// snapshots to its counters alone.
+type Snapshot struct {
+	Lines                   []Line
+	Hits, Misses, Evictions uint64
+}
+
+// Snapshot captures the cache's resident lines and counters. The returned
+// value shares nothing with the cache.
+func (c *Cache) Snapshot() Snapshot {
+	s := Snapshot{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	if n := c.Len(); n > 0 {
+		s.Lines = make([]Line, 0, n)
+		for i := range c.sets {
+			s.Lines = append(s.Lines, c.sets[i].ways...)
+		}
+	}
+	return s
+}
+
+// Restore replaces the cache's contents and counters with a snapshot taken
+// from a cache of the same geometry: Clear, then every saved line appended
+// to its set in saved (MRU-first) order, so LRU order and the presence
+// filters come back exactly. The cost is the Clear plus one append per
+// saved line.
+func (c *Cache) Restore(s Snapshot) {
+	c.Clear()
+	for _, ln := range s.Lines {
+		set := c.setOf(ln.Addr)
+		if len(set.ways) == c.geom.Ways {
+			panic(fmt.Sprintf("cache %s: snapshot overfills the set of line %#x", c.geom.Name, ln.Addr))
+		}
+		set.ways = append(set.ways, ln)
+		set.filt |= filterBit(ln.Addr)
+	}
+	c.hits, c.misses, c.evictions = s.Hits, s.Misses, s.Evictions
+}

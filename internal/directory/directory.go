@@ -264,6 +264,44 @@ func (d *InMemory) Clear() {
 	d.sortedOK = false
 }
 
+// DirEntry is one non-default in-memory directory entry.
+type DirEntry struct {
+	Line  addr.LineAddr
+	State MemState
+}
+
+// InMemorySnapshot is the sparse state of an in-memory directory: its
+// non-default entries in ascending line order, and the write counter.
+type InMemorySnapshot struct {
+	Entries []DirEntry
+	Writes  uint64
+}
+
+// Snapshot captures the directory's entries and write counter. The probe
+// table's layout is not part of it: lookups, ForEach, and the invariant
+// checker's sweep never depend on which slot an entry occupies.
+func (d *InMemory) Snapshot() InMemorySnapshot {
+	s := InMemorySnapshot{Writes: d.writes}
+	if d.n > 0 {
+		s.Entries = make([]DirEntry, 0, d.n)
+		d.ForEach(func(l addr.LineAddr, st MemState) {
+			s.Entries = append(s.Entries, DirEntry{Line: l, State: st})
+		})
+	}
+	return s
+}
+
+// Restore replaces the directory's contents with a snapshot: Clear, every
+// saved entry reinserted, and the write counter set to the saved one (the
+// reinserts themselves count for nothing).
+func (d *InMemory) Restore(s InMemorySnapshot) {
+	d.Clear()
+	for _, e := range s.Entries {
+		d.SetState(e.Line, e.State)
+	}
+	d.writes = s.Writes
+}
+
 // PresenceVector is a bitmask of NUMA nodes holding a copy of a line; the
 // HitME cache stores 8-bit vectors, so at most 8 nodes are supported.
 type PresenceVector uint8
@@ -486,4 +524,46 @@ func (h *HitME) Clear() {
 // Stats returns hit/miss/alloc/eviction counters.
 func (h *HitME) Stats() (hits, misses, allocs, evictions uint64) {
 	return h.hits, h.misses, h.allocs, h.evictions
+}
+
+// HitMEEntry is one valid directory-cache entry.
+type HitMEEntry struct {
+	Line   addr.LineAddr
+	Vector PresenceVector
+	Kind   EntryKind
+}
+
+// HitMESnapshot is the sparse state of a directory cache: every valid
+// entry, set-major and MRU-first within a set (the set follows from the
+// line), plus the counters.
+type HitMESnapshot struct {
+	Entries                         []HitMEEntry
+	Hits, Misses, Allocs, Evictions uint64
+}
+
+// Snapshot captures the directory cache's entries and counters.
+func (h *HitME) Snapshot() HitMESnapshot {
+	s := HitMESnapshot{Hits: h.hits, Misses: h.misses, Allocs: h.allocs, Evictions: h.evictions}
+	if n := h.Len(); n > 0 {
+		s.Entries = make([]HitMEEntry, 0, n)
+		h.ForEach(func(l addr.LineAddr, v PresenceVector, k EntryKind) {
+			s.Entries = append(s.Entries, HitMEEntry{Line: l, Vector: v, Kind: k})
+		})
+	}
+	return s
+}
+
+// Restore replaces the directory cache's contents and counters with a
+// snapshot taken from a cache of the same capacity: Clear, then every
+// saved entry appended to its set in saved (MRU-first) order.
+func (h *HitME) Restore(s HitMESnapshot) {
+	h.Clear()
+	for _, e := range s.Entries {
+		si := h.setOf(e.Line)
+		if len(h.sets[si]) == hitmeWays {
+			panic(fmt.Sprintf("directory: HitME snapshot overfills the set of line %#x", e.Line))
+		}
+		h.sets[si] = append(h.sets[si], hitmeEntry{tag: e.Line, vector: e.Vector, kind: e.Kind, valid: true})
+	}
+	h.hits, h.misses, h.allocs, h.evictions = s.Hits, s.Misses, s.Allocs, s.Evictions
 }

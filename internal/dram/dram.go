@@ -214,3 +214,7 @@ func (c *Controller) Stats() (reads, writes uint64) { return c.reads, c.writes }
 
 // ResetStats zeroes the counters.
 func (c *Controller) ResetStats() { c.reads, c.writes = 0, 0 }
+
+// RestoreStats sets the read/write counters, reinstalling a machine
+// snapshot's traffic.
+func (c *Controller) RestoreStats(reads, writes uint64) { c.reads, c.writes = reads, writes }

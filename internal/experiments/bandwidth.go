@@ -73,10 +73,7 @@ func Table6() Table6Result {
 		}
 		mem := func(node int, placer topology.CoreID) float64 {
 			r := env.Alloc(node, SizeMem)
-			return env.readBW(core, r, bwmodel.AVX256, func() {
-				env.P.Modified(placer, r)
-				env.P.FlushAll(placer, r)
-			}).GBps
+			return env.readBW(core, r, bwmodel.AVX256, func() { env.placeFlushed(placer, r) }).GBps
 		}
 		values[ci] = [6]float64{
 			l3(localNode, core),
@@ -137,19 +134,13 @@ func Table7() ScalingResult {
 		{"local read (source snoop)", machine.SourceSnoop,
 			func(env *Env) float64 {
 				r := env.Alloc(0, SizeMem)
-				return env.readBW(0, r, bwmodel.AVX256, func() {
-					env.P.Modified(0, r)
-					env.P.FlushAll(0, r)
-				}).GBps
+				return env.readBW(0, r, bwmodel.AVX256, func() { env.placeFlushed(0, r) }).GBps
 			},
 			func(c bwmodel.SystemCaps, n int) float64 { return c.MemReadPerSocket }, 1},
 		{"local read (home snoop)", machine.HomeSnoop,
 			func(env *Env) float64 {
 				r := env.Alloc(0, SizeMem)
-				return env.readBW(0, r, bwmodel.AVX256, func() {
-					env.P.Modified(0, r)
-					env.P.FlushAll(0, r)
-				}).GBps
+				return env.readBW(0, r, bwmodel.AVX256, func() { env.placeFlushed(0, r) }).GBps
 			},
 			func(c bwmodel.SystemCaps, n int) float64 { return c.MemReadPerSocket }, 1},
 		{"local write", machine.SourceSnoop,
@@ -162,20 +153,14 @@ func Table7() ScalingResult {
 			func(env *Env) float64 {
 				r := env.Alloc(1, SizeMem)
 				c12 := env.FirstCore(1)
-				return env.readBW(0, r, bwmodel.AVX256, func() {
-					env.P.Modified(c12, r)
-					env.P.FlushAll(c12, r)
-				}).GBps
+				return env.readBW(0, r, bwmodel.AVX256, func() { env.placeFlushed(c12, r) }).GBps
 			},
 			func(c bwmodel.SystemCaps, n int) float64 { return c.QPIReadCap(machine.SourceSnoop) }, 1},
 		{"remote read (home snoop)", machine.HomeSnoop,
 			func(env *Env) float64 {
 				r := env.Alloc(1, SizeMem)
 				c12 := env.FirstCore(1)
-				return env.readBW(0, r, bwmodel.AVX256, func() {
-					env.P.Modified(c12, r)
-					env.P.FlushAll(c12, r)
-				}).GBps
+				return env.readBW(0, r, bwmodel.AVX256, func() { env.placeFlushed(c12, r) }).GBps
 			},
 			func(c bwmodel.SystemCaps, n int) float64 { return c.QPIReadCap(machine.HomeSnoop) }, 1},
 	}
@@ -260,10 +245,7 @@ func Table8() ScalingResult {
 		if placer == 0 {
 			placer = env.SecondCore(row.node)
 		}
-		demand := env.readBW(0, r, bwmodel.AVX256, func() {
-			env.P.Modified(placer, r)
-			env.P.FlushAll(placer, r)
-		}).GBps
+		demand := env.readBW(0, r, bwmodel.AVX256, func() { env.placeFlushed(placer, r) }).GBps
 		vals := make([]float64, nCores)
 		cells := []string{row.name}
 		for n := 1; n <= nCores; n++ {

@@ -33,9 +33,6 @@ func TestChaosRateZeroReproducesTable4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long reproduction run; the -short race pass covers the fast tests")
 	}
-	if testing.Short() {
-		t.Skip("slow reproduction test")
-	}
 	base, err := Table4()
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +60,6 @@ func TestChaosRateZeroReproducesTable4(t *testing.T) {
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long reproduction run; the -short race pass covers the fast tests")
-	}
-	if testing.Short() {
-		t.Skip("slow chaos sweep")
 	}
 	const seed, rate = 0xC4A05, 0.08
 	res, err := ChaosSweep(seed, []float64{0, rate})
@@ -135,9 +129,6 @@ func TestMatrixMean(t *testing.T) {
 func TestFlightRecorderIsPureObserver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long reproduction run; the -short race pass covers the fast tests")
-	}
-	if testing.Short() {
-		t.Skip("slow sweep comparison")
 	}
 	const seed = 0xF11467
 	rates := []float64{0, 0.08}

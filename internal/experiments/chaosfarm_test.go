@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"haswellep/internal/farm"
@@ -18,6 +19,27 @@ import (
 // Table V (the expensive matrix), two rates.
 var quickRates = []float64{0, 0.02}
 
+// serialRef is the seed-11 serial campaign over quickRates, the reference
+// the farm differentials compare their variants (sharded, resumed,
+// pooled) against. It is computed once per test binary (serialReference).
+var serialRef struct {
+	once sync.Once
+	res  ChaosResult
+	err  error
+}
+
+// serialReference returns the shared seed-11 serial reference campaign.
+func serialReference(t *testing.T) ChaosResult {
+	t.Helper()
+	serialRef.once.Do(func() {
+		serialRef.res, serialRef.err = ChaosSweepOpts(11, quickRates, ChaosOptions{})
+	})
+	if serialRef.err != nil {
+		t.Fatal(serialRef.err)
+	}
+	return serialRef.res
+}
+
 // TestChaosFarmShardEquivalence is the tentpole's differential proof: the
 // sweep at shards=1, shards=3, and through the plain serial entry point is
 // byte-for-byte identical — points, table, everything.
@@ -25,10 +47,7 @@ func TestChaosFarmShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run chaos differential in -short mode")
 	}
-	serial, err := ChaosSweepOpts(11, quickRates, ChaosOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialReference(t)
 	for _, shards := range []int{1, 3} {
 		got, err := ChaosSweepOpts(11, quickRates, ChaosOptions{Shards: shards})
 		if err != nil {
@@ -52,16 +71,13 @@ func TestChaosFarmCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run chaos differential in -short mode")
 	}
-	reference, err := ChaosSweepOpts(11, quickRates, ChaosOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reference := serialReference(t)
 
 	ckpt := filepath.Join(t.TempDir(), "chaos.journal")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	_, err = ChaosSweepCtx(ctx, 11, quickRates, ChaosOptions{
+	_, err := ChaosSweepCtx(ctx, 11, quickRates, ChaosOptions{
 		Shards:         1,
 		CheckpointPath: ckpt,
 		OnPointDone: func(string, bool) {
@@ -223,12 +239,10 @@ func TestChaosPooledEnvMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run chaos differential in -short mode")
 	}
-	// Shards=1 forces both rates through one worker: the second point runs
-	// on the first point's rearmed machine.
-	pooled, err := ChaosSweepOpts(11, quickRates, ChaosOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The serial reference runs on one worker (Shards below 1 means 1), so
+	// both rates go through it: the second point runs on the first
+	// point's rearmed machine.
+	pooled := serialReference(t)
 	if got := len(pooled.Points); got != len(quickRates) {
 		t.Fatalf("sweep completed %d points, want %d", got, len(quickRates))
 	}

@@ -58,6 +58,15 @@ type Env struct {
 
 	// lastAlloc is the most recent Alloc result (see lastRegion).
 	lastAlloc addr.Region
+
+	// memo is the placed-state memo placeFlushed consults (the
+	// process-wide placedMemo for every env newEnv builds); nil replays
+	// every placement.
+	memo *placedStore
+	// freshSeq is the engine's sequence number at the last Fresh (or at
+	// construction or Rearm, which leave the machine just as empty): the
+	// machine holds nothing while Seq has not moved past it.
+	freshSeq uint64
 }
 
 // NewEnv builds a fresh test-system machine in the given mode, running the
@@ -120,7 +129,7 @@ func NewEnvWithFaultsProto(mode machine.SnoopMode, plan fault.Plan, proto cohere
 // even a rare full Check dominates the run) — harnesses that want one run
 // invariant.Check explicitly, as the chaos sweep does per point.
 func newEnv(mode machine.SnoopMode, m *machine.Machine, e *mesif.Engine) *Env {
-	env := &Env{Mode: mode, M: m, E: e, P: placement.New(e)}
+	env := &Env{Mode: mode, M: m, E: e, P: placement.New(e), memo: placedMemo, freshSeq: e.Seq()}
 	env.attachChecker()
 	return env
 }
@@ -172,6 +181,7 @@ func (env *Env) Rearm(plan fault.Plan, proto coherence.ID) error {
 	env.E.WorkingSet = 0
 	env.tr = nil
 	env.lastAlloc = addr.Region{}
+	env.freshSeq = env.E.Seq()
 	env.attachChecker()
 	return nil
 }
@@ -197,7 +207,11 @@ func (env *Env) Alloc(node int, size int64) addr.Region {
 func (env *Env) Fresh() {
 	env.M.Reset()
 	env.E.ResetStats()
+	env.freshSeq = env.E.Seq()
 }
+
+// justFresh reports whether no transaction has run since the last Fresh.
+func (env *Env) justFresh() bool { return env.E.Seq() == env.freshSeq }
 
 // AttachFlightRecorder attaches a trace flight recorder to the env's
 // engine and arms Check to write a repro bundle into dir on the first hard

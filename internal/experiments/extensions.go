@@ -39,13 +39,9 @@ func LoadedLatency() *report.Figure {
 
 		// Unloaded latency and per-core demand, both measured.
 		r := env.Alloc(0, SizeMem)
-		base := env.latencyOf(0, r, func() {
-			env.P.Modified(0, r)
-			env.P.FlushAll(0, r)
-		}).MeanNs
+		base := env.latencyOf(0, r, func() { env.placeFlushed(0, r) }).MeanNs
 		env.Fresh()
-		env.P.Modified(0, r)
-		env.P.FlushAll(0, r)
+		env.placeFlushed(0, r)
 		demand := bwmodel.ReadStream(env.E, 0, r, bwmodel.AVX256, bwmodel.ConcurrencyFor(mode)).GBps
 
 		s := report.Series{Name: mode.String()}

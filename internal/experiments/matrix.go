@@ -40,13 +40,11 @@ func NodeMatrix(mode machine.SnoopMode) NodeMatrixResult {
 			r := env.Alloc(to, SizeMem)
 
 			env.Fresh()
-			env.P.Modified(owner, r)
-			env.P.FlushAll(owner, r)
+			env.placeFlushed(owner, r)
 			res.LatencyNs[from][to] = bench.Latency(env.E, core, r).MeanNs
 
 			env.Fresh()
-			env.P.Modified(owner, r)
-			env.P.FlushAll(owner, r)
+			env.placeFlushed(owner, r)
 			res.GBps[from][to] = bwmodel.ReadStream(env.E, core, r,
 				bwmodel.AVX256, bwmodel.ConcurrencyFor(mode)).GBps
 		}

@@ -131,14 +131,8 @@ func protocolMetrics(id coherence.ID) (ProtocolMetrics, error) {
 
 	// Latency points. latencyOf resets the machine before each placement,
 	// so the four patterns are independent and identical across protocols.
-	pm.LocalMemNs = env.latencyOf(c0, r, func() {
-		env.P.Modified(c0, r)
-		env.P.FlushAll(c0, r)
-	}).MeanNs
-	pm.RemoteMemNs = env.latencyOf(c2, r, func() {
-		env.P.Modified(c0, r)
-		env.P.FlushAll(c0, r)
-	}).MeanNs
+	pm.LocalMemNs = env.latencyOf(c0, r, func() { env.placeFlushed(c0, r) }).MeanNs
+	pm.RemoteMemNs = env.latencyOf(c2, r, func() { env.placeFlushed(c0, r) }).MeanNs
 	// Two nodes share every line clean, then an uninvolved third node
 	// reads: MESIF answers from the forwarder's L3, MESI and MOESI refetch
 	// from home memory.

@@ -74,21 +74,13 @@ func Table3() Table3Result {
 			env.P.Exclusive(env.FirstCore(remote2), lastRegion(env))
 		})
 		memLocal := env.latencyOf(core, env.Alloc(localNode, SizeMem), func() {
-			r := lastRegion(env)
-			env.P.Modified(core, r)
-			env.P.FlushAll(core, r)
+			env.placeFlushed(core, lastRegion(env))
 		})
 		memR1 := env.latencyOf(core, env.Alloc(remote1, SizeMem), func() {
-			r := lastRegion(env)
-			c := env.FirstCore(remote1)
-			env.P.Modified(c, r)
-			env.P.FlushAll(c, r)
+			env.placeFlushed(env.FirstCore(remote1), lastRegion(env))
 		})
 		memR2 := env.latencyOf(core, env.Alloc(remote2, SizeMem), func() {
-			r := lastRegion(env)
-			c := env.FirstCore(remote2)
-			env.P.Modified(c, r)
-			env.P.FlushAll(c, r)
+			env.placeFlushed(env.FirstCore(remote2), lastRegion(env))
 		})
 		values[ci] = [6]float64{
 			l3Local.MeanNs, l3R1.MeanNs, l3R2.MeanNs,

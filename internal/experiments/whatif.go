@@ -19,7 +19,9 @@ import (
 // (internal/server, cmd/hswd): a WhatIfSpec is one fully canonical what-if
 // question — machine config + protocol + snoop mode + workload — and
 // RunWhatIf answers it on a freshly built (or farm-pooled, for chaos
-// points) engine, gated by the always-on invariant checker. The spec's Key
+// points) engine whose buffer placements may be restored from the
+// placed-state memo (placedmemo.go), gated by the always-on invariant
+// checker. The spec's Key
 // is the memoization identity the server's checkpoint journal stores
 // answers under, so everything that can change an answer must be part of
 // it, and every answer must JSON-round-trip bit-exactly (encoding/json
@@ -365,6 +367,12 @@ func RunWhatIf(fc *farm.Ctx, s WhatIfSpec, o WhatIfOptions) (WhatIfAnswer, error
 		panic(fmt.Sprintf("injected what-if panic (%s)", s.Kind))
 	}
 
+	return answerOn(env, s)
+}
+
+// answerOn measures a latency, bandwidth, or placement spec on env, gated
+// by env's invariant checker.
+func answerOn(env *Env, s WhatIfSpec) (WhatIfAnswer, error) {
 	ans := WhatIfAnswer{Kind: s.Kind}
 	switch s.Kind {
 	case WhatIfLatency:
@@ -391,8 +399,7 @@ func whatIfLatency(env *Env, from, to int, size int64) *LatencyAnswer {
 	owner := env.FirstCore(to)
 	r := env.Alloc(to, size)
 	env.Fresh()
-	env.P.Modified(owner, r)
-	env.P.FlushAll(owner, r)
+	env.placeFlushed(owner, r)
 	st := bench.Latency(env.E, core, r)
 	return &LatencyAnswer{Ns: st.MeanNs, Lines: st.N, RemoteDRAM: st.RemoteDRAM, RemoteFwd: st.RemoteFwd}
 }
@@ -405,8 +412,7 @@ func whatIfBandwidth(env *Env, s WhatIfSpec) *BandwidthAnswer {
 	owner := env.FirstCore(s.To)
 	r := env.Alloc(s.To, s.SizeBytes)
 	env.Fresh()
-	env.P.Modified(owner, r)
-	env.P.FlushAll(owner, r)
+	env.placeFlushed(owner, r)
 	st := bwmodel.ReadStream(env.E, core, r, bwmodel.AVX256, bwmodel.ConcurrencyFor(env.Mode))
 	cap := whatIfReadCap(env.M.Cfg, s.From, s.To)
 	return &BandwidthAnswer{

@@ -126,13 +126,19 @@ func AttachIncrementalOpts(e *mesif.Engine, o IncrementalOptions, report ReportF
 		c.LeanStale()
 		full.LeanStale()
 	}
-	n := 0
+	// n counts transactions since attach by the engine's sequence number,
+	// not by hook invocations: an Engine.Restore advances Seq past the
+	// transactions it stands in for, so the sample phase after a restore
+	// is the phase a replay would have left. (An epoch boundary inside a
+	// restored span is skipped; the restored state is what a checked
+	// replay produced.)
+	base := e.Seq()
 	inner := attach(e, report, func(addr.LineAddr) []Violation {
-		n++
-		if o.Epoch > 0 && n%o.Epoch == 0 {
+		n := e.Seq() - base
+		if o.Epoch > 0 && n%uint64(o.Epoch) == 0 {
 			return full.CheckAll()
 		}
-		if o.Sample > 1 && n%o.Sample != 0 {
+		if o.Sample > 1 && n%uint64(o.Sample) != 0 {
 			return nil
 		}
 		return c.CheckLines(e.DirtyLines())

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"reflect"
 	"testing"
 
 	"haswellep/internal/addr"
@@ -170,6 +171,55 @@ func TestAttachIncrementalOpts(t *testing.T) {
 	// NoEpoch — does see it.
 	if hard := Hard(Check(m)); len(hard) == 0 {
 		t.Fatalf("end-of-run Check missed the off-dirty corruption")
+	}
+}
+
+// TestSamplePhaseFollowsRestore: the sampled checker keys its phase off
+// the engine's sequence number, so an engine restored from a snapshot
+// checks the same later transactions as the engine that ran the
+// transactions the snapshot stands in for — here 65 writes and 65 flushes,
+// 130 transactions, not a multiple of the sample period.
+func TestSamplePhaseFollowsRestore(t *testing.T) {
+	run := func(restoreFrom *mesif.Snapshot) ([]uint64, mesif.Snapshot) {
+		m, e := build(t, machine.SourceSnoop)
+		r := m.MustAlloc(0, 65*64)
+		var reported []uint64
+		detach := AttachIncrementalOpts(e, IncrementalOptions{Epoch: NoEpoch, Sample: 16, Fast: true},
+			func(mesif.Op, topology.CoreID, addr.LineAddr, []Violation) { reported = append(reported, e.Seq()) })
+		defer detach()
+		if restoreFrom != nil {
+			e.Restore(*restoreFrom)
+		} else {
+			for _, l := range r.Lines() {
+				e.Write(0, l)
+			}
+			for _, l := range r.Lines() {
+				e.Flush(0, l)
+			}
+		}
+		placed := e.Snapshot()
+		// Persistent corruption every later read of l0 exposes: a second,
+		// Modified copy in another node's slice.
+		l0 := r.Lines()[0]
+		e.Read(0, l0)
+		m.Slice(m.CAForNode(1, l0)).Insert(cache.Line{Addr: l0, State: cache.Modified})
+		for i := 0; i < 40; i++ {
+			e.Read(0, l0)
+		}
+		return reported, placed
+	}
+	replayed, placed := run(nil)
+	restored, _ := run(&placed)
+	if len(replayed) == 0 {
+		t.Fatal("the sampled checker never reported the corruption")
+	}
+	for _, seq := range replayed {
+		if seq%16 != 0 {
+			t.Fatalf("report at transaction %d, off the sample-16 phase", seq)
+		}
+	}
+	if !reflect.DeepEqual(replayed, restored) {
+		t.Errorf("sampled reports after a restore at transactions %v, after a replay %v", restored, replayed)
 	}
 }
 

@@ -153,15 +153,18 @@ func MustNew(cfg Config) *Machine {
 }
 
 // Reset drops all cached state — every private cache, L3 slice, directory
-// and statistic — returning the machine to power-on state while keeping
-// allocations valid.
+// and statistic (cache, DRAM, directory, and HitME counters alike) —
+// returning the machine to power-on state while keeping allocations valid.
 func (m *Machine) Reset() {
 	for _, cc := range m.Cores {
 		cc.L1D.Clear()
+		cc.L1D.ResetStats()
 		cc.L2.Clear()
+		cc.L2.ResetStats()
 	}
 	for _, sl := range m.L3 {
 		sl.Clear()
+		sl.ResetStats()
 	}
 	for _, ha := range m.HAs {
 		ha.DRAM.ResetStats()

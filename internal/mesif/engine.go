@@ -197,6 +197,9 @@ type Engine struct {
 
 	stats engineStats
 
+	// seq counts the transactions the engine has begun (see Seq).
+	seq uint64
+
 	// Dirty-set tracking (see SetDirtyTracking): when enabled, every
 	// transaction records the set of lines whose cache entries, core-valid
 	// bits, directory state, or HitME entries it may have touched, so an
@@ -245,6 +248,14 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) ResetStats() {
 	e.stats = engineStats{}
 }
+
+// Seq returns the engine's transaction sequence number: how many Reads,
+// Writes, and Flushes it has begun. Neither ResetStats nor a machine Reset
+// rewinds it; Restore sets it. Observers that act on every n-th
+// transaction (the sampled invariant checker) key off it, so their phase
+// after a Restore is the phase a replay of the restored transactions
+// would have left.
+func (e *Engine) Seq() uint64 { return e.seq }
 
 // SetDirtyTracking enables (or disables) per-transaction dirty-set
 // recording. While enabled, each Read, Write, and Flush starts a fresh set
@@ -332,6 +343,7 @@ func (e *Engine) record(op Op, a Access) Access {
 // fault injector (if any) advances to the next transaction of its schedule.
 // It is the single entry path of Read, Write, and Flush, mirroring finish.
 func (e *Engine) begin(l addr.LineAddr) {
+	e.seq++
 	if e.trackDirty {
 		e.dirty = append(e.dirty[:0], l)
 	}

@@ -30,10 +30,18 @@ import (
 // Placer places data through a protocol engine.
 type Placer struct {
 	E *mesif.Engine
+
+	// issued counts the transactions the placer has issued (see Issued).
+	issued uint64
 }
 
 // New builds a placer for the engine.
 func New(e *mesif.Engine) *Placer { return &Placer{E: e} }
+
+// Issued returns how many transactions the placer has issued to its
+// engine: one per line per placement pass. It is a deterministic work
+// counter — the same placements issue the same count on any host.
+func (p *Placer) Issued() uint64 { return p.issued }
 
 // forEachLine runs fn over the region's lines in ascending order.
 func forEachLine(r addr.Region, fn func(addr.LineAddr)) {
@@ -43,13 +51,28 @@ func forEachLine(r addr.Region, fn func(addr.LineAddr)) {
 	}
 }
 
+// pass issues op by core over the region's lines in ascending order.
+func (p *Placer) pass(op mesif.Op, core topology.CoreID, r addr.Region) {
+	forEachLine(r, func(l addr.LineAddr) {
+		switch op {
+		case mesif.OpRead:
+			p.E.Read(core, l)
+		case mesif.OpWrite:
+			p.E.Write(core, l)
+		case mesif.OpFlush:
+			p.E.Flush(core, l)
+		}
+		p.issued++
+	})
+}
+
 // Modified places every line of the region in state modified, owned by the
 // given core. Lines beyond the private-cache capacity are naturally evicted
 // into the core's node L3 (state M, core-valid bit cleared by the
 // writeback).
 func (p *Placer) Modified(core topology.CoreID, r addr.Region) {
 	p.E.WorkingSet = r.Size
-	forEachLine(r, func(l addr.LineAddr) { p.E.Write(core, l) })
+	p.pass(mesif.OpWrite, core, r)
 }
 
 // Exclusive places every line of the region in state exclusive, cached by
@@ -59,9 +82,9 @@ func (p *Placer) Modified(core topology.CoreID, r addr.Region) {
 // precondition of the paper's 44.4 ns core-snoop case.
 func (p *Placer) Exclusive(core topology.CoreID, r addr.Region) {
 	p.E.WorkingSet = r.Size
-	forEachLine(r, func(l addr.LineAddr) { p.E.Write(core, l) })
-	forEachLine(r, func(l addr.LineAddr) { p.E.Flush(core, l) })
-	forEachLine(r, func(l addr.LineAddr) { p.E.Read(core, l) })
+	p.pass(mesif.OpWrite, core, r)
+	p.pass(mesif.OpFlush, core, r)
+	p.pass(mesif.OpRead, core, r)
 }
 
 // Shared places every line in a shared state across the given cores: the
@@ -74,9 +97,8 @@ func (p *Placer) Shared(r addr.Region, cores ...topology.CoreID) {
 	}
 	p.Exclusive(cores[0], r)
 	for _, c := range cores[1:] {
-		core := c
 		p.E.WorkingSet = r.Size
-		forEachLine(r, func(l addr.LineAddr) { p.E.Read(core, l) })
+		p.pass(mesif.OpRead, c, r)
 	}
 }
 
@@ -84,7 +106,7 @@ func (p *Placer) Shared(r addr.Region, cores ...topology.CoreID) {
 // only in memory, directory reset to remote-invalid).
 func (p *Placer) FlushAll(core topology.CoreID, r addr.Region) {
 	p.E.WorkingSet = r.Size
-	forEachLine(r, func(l addr.LineAddr) { p.E.Flush(core, l) })
+	p.pass(mesif.OpFlush, core, r)
 }
 
 // EvictPrivate forces the region out of a core's private caches with

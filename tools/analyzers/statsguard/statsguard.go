@@ -6,7 +6,8 @@
 // the counters trustworthy and the invariant sweep's accounting stable.
 // statsguard reports any assignment or increment that reaches through a
 // field named "stats" from a method not on the allowlist (record,
-// countSnoop, ResetStats).
+// countSnoop, ResetStats, and Restore, which reinstalls counters a snapshot
+// captured).
 //
 //hsw:tier tool
 package statsguard
@@ -22,7 +23,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "statsguard",
 	Doc: "reports mutations of a struct's stats field outside the " +
-		"designated bookkeeping methods (record, countSnoop, ResetStats)",
+		"designated bookkeeping methods (record, countSnoop, ResetStats, Restore)",
 	Run: run,
 }
 
@@ -31,6 +32,7 @@ var allowed = map[string]bool{
 	"record":     true,
 	"countSnoop": true,
 	"ResetStats": true,
+	"Restore":    true,
 }
 
 func run(pass *analysis.Pass) error {

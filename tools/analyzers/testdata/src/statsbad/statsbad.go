@@ -1,6 +1,6 @@
 // Package statsbad is the negative fixture for the statsguard analyzer: a
 // struct with a stats field may only be mutated from the designated
-// bookkeeping methods (record, countSnoop, ResetStats).
+// bookkeeping methods (record, countSnoop, ResetStats, Restore).
 package statsbad
 
 type counters struct {
@@ -25,6 +25,12 @@ func (e *engine) countSnoop() {
 // ResetStats is a designated bookkeeping method: allowed.
 func (e *engine) ResetStats() {
 	e.stats = counters{per: make(map[string]int)}
+}
+
+// Restore reinstalls snapshotted counters, a designated bookkeeping
+// method: allowed.
+func (e *engine) Restore(c counters) {
+	e.stats = c
 }
 
 // sneakyIncrement bypasses record: reported.
